@@ -88,8 +88,7 @@ def test_dist_scaling(benchmark):
 
     rows = []
     for (plane, workers), dist in sorted(results.items()):
-        profile = (CostProfile.from_dict(dist.cost_profile)
-                   if dist.cost_profile else CostProfile())
+        profile = dist.cost_profile or CostProfile()
         rows.append({
             "workers": workers,
             "data_plane": dist.data_plane,
@@ -100,7 +99,7 @@ def test_dist_scaling(benchmark):
             "wall_time": dist.wall_time,
             "wall_states_per_second": dist.wall_states_per_second,
             "cost_per_state_us": profile.per_state_microseconds(),
-            "cost_profile": dist.cost_profile,
+            "cost_profile": dist.cost_profile and profile.to_dict(),
             "modeled_parallel_time": dist.modeled_parallel_time,
             "sequential_sim_time": dist.sequential_sim_time,
             "modeled_states_per_second": dist.states_per_second,

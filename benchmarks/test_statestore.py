@@ -70,13 +70,12 @@ def _ext_campaign(store: str) -> dict:
                               RAMBlockDevice(DEV_BYTES, clock=clock))
     result = mcfs.run_dfs(max_depth=3, max_operations=2_000)
     assert not result.found_discrepancy, str(result.report)
-    stats = result.table_stats
     return {
         "operations": result.operations,
         "unique_states": result.unique_states,
-        "store_bytes": stats.stored_bytes,
-        "bits_per_state": stats.bits_per_state,
-        "omission_probability": stats.omission_probability,
+        "store_bytes": result.stored_bytes,
+        "bits_per_state": result.bits_per_state,
+        "omission_probability": result.omission_probability,
     }
 
 

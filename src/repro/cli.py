@@ -29,7 +29,6 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.core.report import RunSummary
 from repro.dist.spec import (
     FILESYSTEMS,
     KERNEL_FS,
@@ -130,9 +129,9 @@ def _spec_from_args(args) -> CheckSpec:
     )
 
 
-def _minimize_into(trail_path: str, summary: RunSummary) -> None:
-    """``--minimize``: shrink a freshly captured trail, save it next to
-    the original, and fold the result into the run summary."""
+def _minimize(trail_path: str) -> int:
+    """``--minimize``: shrink a freshly captured trail and save it next
+    to the original; returns the reproducer's operation count."""
     from repro.trail import Trail, minimize_trail
 
     result = minimize_trail(Trail.load(trail_path))
@@ -141,9 +140,21 @@ def _minimize_into(trail_path: str, summary: RunSummary) -> None:
         stem = stem[:-len(".trail.json")]
     minimized_path = f"{stem}.min.trail.json"
     result.trail.save(minimized_path)
-    summary.minimized_operations = result.minimized_operations
     print(result.describe())
     print(f"minimized trail: {minimized_path}")
+    return result.minimized_operations
+
+
+def _print_summary(metrics, stopped_reason: str, trail_paths: List[str],
+                   minimized_operations: Optional[int] = None) -> None:
+    """The scoreboard both ``repro check`` paths (inline and
+    ``--workers``) print."""
+    print(metrics.render())
+    print(f"stopped    : {stopped_reason}")
+    for path in trail_paths:
+        print(f"trail      : {path}")
+    if minimized_operations is not None:
+        print(f"minimized  : {minimized_operations} operation(s)")
 
 
 def _run_distributed(args) -> int:
@@ -168,32 +179,16 @@ def _run_distributed(args) -> int:
         # cannot carry it; same contract as the other spec validation
         print(f"error: {error}", file=sys.stderr)
         return 2
-    parallel = dist.modeled_parallel_time
-    summary = RunSummary(
-        operations=dist.total_operations,
-        unique_states=dist.visited_states,
-        sim_time=parallel,
-        ops_per_second=dist.total_operations / parallel if parallel else 0.0,
-        stopped_reason="distributed campaign complete",
-        duplicate_hits=dist.table.stats.duplicate_hits,
-        duplicate_hit_ratio=dist.table.stats.duplicate_hit_ratio,
-        omission_possible=dist.omission_possible,
-        omission_probability=dist.omission_probability,
-        store_bits_per_state=dist.table.stats.bits_per_state,
-        cost_profile=dist.cost_profile,
-    )
-    if dist.trail_paths:
-        summary.trail_path = dist.trail_paths[0]
-    print(summary.render())
-    for path in dist.trail_paths[1:]:
-        print(f"trail      : {path}")
+    _print_summary(dist.metrics, "distributed campaign complete",
+                   dist.trail_paths)
     print(f"workers    : {dist.workers} ({len(dist.unit_results)} units, "
-          f"{dist.stolen_units} stolen, {dist.recovered_units} recovered)")
+          f"{dist.stolen_units} stolen, {dist.recovered_units} recovered, "
+          f"{dist.cross_worker_duplicates} cross-worker duplicates)")
     print(f"data plane : {dist.data_plane} "
           f"({dist.wall_states_per_second:.1f} states/s wall)")
     print(f"speedup    : {dist.speedup:.2f}x modeled "
           f"({dist.sequential_sim_time:.3f}s sequential -> "
-          f"{parallel:.3f}s parallel)")
+          f"{dist.modeled_parallel_time:.3f}s parallel)")
     discrepancies = dist.discrepancies
     if discrepancies:
         print(f"\n{len(discrepancies)} discrepancy(ies) across units")
@@ -225,7 +220,6 @@ def cmd_check(args) -> int:
     mcfs = spec.build_mcfs()
     mcfs.options.track_coverage = args.coverage
     mcfs.options.trail_dir = args.trail_dir
-    fsck_every = spec.fsck_every
     if args.mode == "dfs":
         result = mcfs.run_dfs(max_depth=args.depth,
                               max_operations=args.max_ops,
@@ -235,10 +229,12 @@ def cmd_check(args) -> int:
         result = mcfs.run_random(max_operations=args.max_ops or 1000,
                                  seed=args.seed,
                                  state_file=args.state_file)
-    summary = RunSummary.from_result(result, show_fsck=bool(fsck_every))
+    minimized = None
     if result.trail_path and args.minimize:
-        _minimize_into(result.trail_path, summary)
-    print(summary.render())
+        minimized = _minimize(result.trail_path)
+    _print_summary(result.metrics, result.stats.stopped_reason,
+                   [result.trail_path] if result.trail_path else [],
+                   minimized)
     if args.coverage:
         print("\ncoverage:")
         print(mcfs.coverage_report().render())
@@ -280,24 +276,22 @@ def cmd_swarm(args) -> int:
               f"{summary.operations:8d} {summary.sim_time:8.3f} "
               f"{summary.wall_time:8.2f} "
               f"{summary.wall_ops_per_second:12.1f}{note}")
+    metrics = dist.metrics
     print(f"merged states : {dist.visited_states} "
           f"({dist.cross_worker_duplicates} cross-worker duplicates, "
-          f"dup-hit ratio {dist.table.stats.duplicate_hit_ratio:.1%})")
-    if dist.omission_possible:
+          f"dup-hit ratio {metrics.duplicate_hit_ratio:.1%})")
+    if metrics.omission_possible:
         print(f"store         : LOSSY "
-              f"({dist.table.stats.bits_per_state:.1f} bits/state, "
-              f"omission p <= {dist.omission_probability:.2e})")
+              f"({metrics.bits_per_state:.1f} bits/state, "
+              f"omission p <= {metrics.omission_probability:.2e})")
     print(f"speedup       : {dist.speedup:.2f}x modeled "
           f"({dist.sequential_sim_time:.3f}s sequential -> "
           f"{dist.modeled_parallel_time:.3f}s parallel, "
           f"{dist.states_per_second:.1f} states/s)")
     print(f"data plane    : {dist.data_plane} "
           f"({dist.wall_states_per_second:.1f} states/s wall)")
-    if dist.cost_profile is not None:
-        from repro.mc.perf import CostProfile
-
-        print("cost/state    : "
-              + CostProfile.from_dict(dist.cost_profile).describe())
+    if metrics.cost_profile is not None:
+        print("cost/state    : " + metrics.cost_profile.describe())
     print(f"wall time     : {dist.wall_time:.2f}s")
     for path in dist.trail_paths:
         print(f"trail         : {path}")

@@ -26,10 +26,11 @@ from repro.core.engine import MCFSTarget, SyscallEngine
 from repro.core.equalize import equalize_free_space
 from repro.core.futs import FilesystemUnderTest, make_block_fut, make_verifs_fut
 from repro.core.integrity import DiscrepancyError
+from repro.core.metrics import METRIC_ATTRIBUTES, MetricsView, RunMetrics
 from repro.core.ops import OperationCatalog, ParameterPool
 from repro.core.report import DiscrepancyReport
 from repro.mc.explorer import ExplorationStats, Explorer
-from repro.mc.hashtable import TableStats, VisitedStateTable
+from repro.mc.hashtable import VisitedStateTable
 from repro.mc.memory import MemoryModel
 from repro.mc.strategies import CheckpointStrategy, IoctlStrategy, RemountStrategy
 
@@ -100,65 +101,23 @@ class MCFSOptions:
 
 
 @dataclass
-class MCFSResult:
-    """Outcome of one checking run."""
+class MCFSResult(MetricsView):
+    """Outcome of one checking run; counters live in :attr:`metrics`
+    and read straight off the result (``result.operations``)."""
 
+    #: the explorer's record (stopped reason, violation, depth reached)
     stats: ExplorationStats
     report: Optional[DiscrepancyReport]
-    sim_time: float
-    operations: int
-    unique_states: int
-    #: visited-table counters (inserts/duplicate hits) for the run, so
-    #: reports can surface the table's duplicate-hit ratio
-    table_stats: Optional[TableStats] = None
-    #: bytes the devices' snapshot paths actually copied (dirty chunks
-    #: for COW grabs, whole images in legacy mode)
-    bytes_snapshotted: int = 0
-    #: bytes rewritten by restores (diverged chunks only, for COW)
-    bytes_restored: int = 0
-    #: what a full-copy checkpointer would have copied: one whole device
-    #: image per snapshot taken
-    logical_snapshot_bytes: int = 0
+    metrics: RunMetrics = field(default_factory=RunMetrics)
     #: where the counterexample trail was written (``trail_dir`` set and
     #: a discrepancy found); None otherwise
     trail_path: Optional[str] = None
-    #: per-state cost breakdown (:class:`repro.mc.perf.CostProfile`) when
-    #: the run profiled; None otherwise
-    cost_profile: Optional[Any] = None
+    #: full fleet detail of a ``workers > 1`` run; None for inline runs
+    dist: Optional[Any] = None
 
     @property
     def found_discrepancy(self) -> bool:
         return self.report is not None
-
-    @property
-    def snapshot_dedup_ratio(self) -> float:
-        """Logical-to-physical snapshot ratio (>= 1 means chunk sharing
-        saved copies; 0.0 when no snapshot traffic was recorded)."""
-        if self.bytes_snapshotted <= 0:
-            return 0.0
-        return self.logical_snapshot_bytes / self.bytes_snapshotted
-
-    @property
-    def ops_per_second(self) -> float:
-        return self.operations / self.sim_time if self.sim_time > 0 else 0.0
-
-    @property
-    def duplicate_hit_ratio(self) -> float:
-        """Fraction of state visits the visited table answered as known."""
-        return (self.table_stats.duplicate_hit_ratio
-                if self.table_stats is not None else 0.0)
-
-    @property
-    def omission_possible(self) -> bool:
-        """True when a lossy store may have silently skipped states."""
-        return (self.table_stats.omission_possible
-                if self.table_stats is not None else False)
-
-    @property
-    def omission_probability(self) -> float:
-        """Per-query probability a fresh state was wrongly matched."""
-        return (self.table_stats.omission_probability
-                if self.table_stats is not None else 0.0)
 
 
 class MCFS:
@@ -335,11 +294,7 @@ class MCFS:
                 + explorer.stats.operations,
                 runs=self._resumed_runs + 1,
             )
-        result = self._result(explorer.stats, start,
-                              table_stats=getattr(explorer.visited, "stats",
-                                                  None))
-        result.cost_profile = explorer.profile
-        return result
+        return self._result(explorer, start)
 
     # ----------------------------------------------------------------- runs --
     def run_dfs(self, max_depth: int = 3, max_operations: Optional[int] = None,
@@ -442,37 +397,19 @@ class MCFS:
         )
         dist = DistributedChecker(spec, workers=workers,
                                   trail_dir=self.options.trail_dir).run()
-        stats = ExplorationStats()
-        stats.operations = dist.total_operations
-        stats.transitions = sum(u.transitions for u in dist.unit_results)
-        stats.unique_states = dist.visited_states
-        stats.revisited_states = sum(u.revisited_states
-                                     for u in dist.unit_results)
-        stats.end_time = dist.modeled_parallel_time
-        stats.stopped_reason = "distributed campaign complete"
+        metrics = dist.metrics
         report = dist.discrepancies[0] if dist.discrepancies else None
-        if report is not None:
-            stats.stopped_reason = "property violation"
-        result = MCFSResult(
-            stats=stats,
-            report=report,
-            sim_time=dist.modeled_parallel_time,
-            operations=dist.total_operations,
-            unique_states=dist.visited_states,
-            table_stats=dist.table.stats,
-            bytes_snapshotted=dist.bytes_snapshotted,
-            bytes_restored=dist.bytes_restored,
-            logical_snapshot_bytes=sum(
-                unit.logical_snapshot_bytes for unit in dist.unit_results
-            ),
+        stats = ExplorationStats(
+            end_time=metrics.sim_time,
+            stopped_reason=("property violation" if report is not None
+                            else "distributed campaign complete"))
+        for name in vars(stats):
+            if name in METRIC_ATTRIBUTES:
+                setattr(stats, name, getattr(metrics, name))
+        return MCFSResult(
+            stats=stats, report=report, metrics=metrics,
             trail_path=dist.trail_paths[0] if dist.trail_paths else None,
-        )
-        if dist.cost_profile is not None:
-            from repro.mc.perf import CostProfile
-
-            result.cost_profile = CostProfile.from_dict(dist.cost_profile)
-        result.dist = dist  # full fleet detail for callers that want it
-        return result
+            dist=dist)
 
     def _maybe_capture_trail(self, result: MCFSResult, mode: str,
                              seed: int) -> None:
@@ -492,22 +429,20 @@ class MCFS:
             mode=mode, seed=seed,
         )
 
-    def _result(self, stats: ExplorationStats, start_time: float,
-                table_stats: Optional[TableStats] = None) -> MCFSResult:
+    def _result(self, explorer: Explorer, start_time: float) -> MCFSResult:
+        stats = explorer.stats
         report: Optional[DiscrepancyReport] = None
         if isinstance(stats.violation, DiscrepancyError):
             report = stats.violation.report
-        devices = [fut.device for fut in self.futs if fut.device is not None]
-        return MCFSResult(
-            stats=stats,
-            report=report,
+        devices = [fut.device.stats for fut in self.futs
+                   if fut.device is not None]
+        metrics = RunMetrics.collect(
+            stats, getattr(explorer.visited, "stats", None),
             sim_time=self.clock.now - start_time,
-            operations=stats.operations,
-            unique_states=stats.unique_states,
-            table_stats=table_stats,
-            bytes_snapshotted=sum(d.stats.bytes_snapshotted for d in devices),
-            bytes_restored=sum(d.stats.bytes_restored for d in devices),
-            logical_snapshot_bytes=sum(
-                fut.logical_snapshot_bytes for fut in self.futs
-            ),
+            bytes_snapshotted=sum(d.bytes_snapshotted for d in devices),
+            bytes_restored=sum(d.bytes_restored for d in devices),
+            logical_snapshot_bytes=sum(fut.logical_snapshot_bytes
+                                       for fut in self.futs),
+            cost_profile=explorer.profile,
         )
+        return MCFSResult(stats=stats, report=report, metrics=metrics)

@@ -221,164 +221,6 @@ class DiscrepancyReport:
         return "\n".join(lines)
 
 
-@dataclass
-class RunSummary:
-    """The per-run scoreboard ``repro check`` prints.
-
-    Includes the visited table's duplicate-hit ratio so the table's
-    effectiveness (how much re-exploration it saved) is visible for
-    every run, not just in ad-hoc benchmarks.
-    """
-
-    operations: int
-    unique_states: int
-    sim_time: float
-    ops_per_second: float
-    stopped_reason: str
-    revisited_states: int = 0
-    duplicate_hits: int = 0
-    duplicate_hit_ratio: float = 0.0
-    fsck_checks: int = 0
-    show_fsck: bool = False
-    #: snapshot traffic: bytes the checkpoint path actually copied vs.
-    #: rewrote on restore, and the logical-to-physical dedup ratio the
-    #: copy-on-write chunk tables achieved (0.0 = no snapshot traffic)
-    bytes_snapshotted: int = 0
-    bytes_restored: int = 0
-    snapshot_dedup_ratio: float = 0.0
-    #: lossy visited-state stores (bitstate / hash compaction / tiered)
-    #: may silently omit states; coverage loss is surfaced, never hidden
-    omission_possible: bool = False
-    omission_probability: float = 0.0
-    store_bits_per_state: float = 0.0
-    #: where the run's counterexample trail was written (``--trail-dir``);
-    #: None when no discrepancy was found or capture was off
-    trail_path: Optional[str] = None
-    #: operation count of the minimized reproducer (``repro minimize`` /
-    #: ``--minimize``); None when no minimization ran
-    minimized_operations: Optional[int] = None
-    #: per-state cost breakdown (``--profile``;
-    #: :meth:`repro.mc.perf.CostProfile.to_dict` form); None when the
-    #: run did not profile
-    cost_profile: Optional[Dict[str, Any]] = None
-
-    @classmethod
-    def from_result(cls, result, show_fsck: bool = False) -> "RunSummary":
-        """Build from an :class:`~repro.core.mcfs.MCFSResult` (duck-typed)."""
-        table_stats = getattr(result, "table_stats", None)
-        cost_profile = getattr(result, "cost_profile", None)
-        if cost_profile is not None and not isinstance(cost_profile, dict):
-            cost_profile = cost_profile.to_dict()
-        return cls(
-            operations=result.operations,
-            unique_states=result.unique_states,
-            sim_time=result.sim_time,
-            ops_per_second=result.ops_per_second,
-            stopped_reason=result.stats.stopped_reason,
-            revisited_states=result.stats.revisited_states,
-            duplicate_hits=(table_stats.duplicate_hits
-                            if table_stats is not None else 0),
-            duplicate_hit_ratio=(table_stats.duplicate_hit_ratio
-                                 if table_stats is not None else 0.0),
-            fsck_checks=result.stats.fsck_checks,
-            show_fsck=show_fsck,
-            bytes_snapshotted=getattr(result, "bytes_snapshotted", 0),
-            bytes_restored=getattr(result, "bytes_restored", 0),
-            snapshot_dedup_ratio=getattr(result, "snapshot_dedup_ratio", 0.0),
-            omission_possible=(table_stats.omission_possible
-                               if table_stats is not None else False),
-            omission_probability=(table_stats.omission_probability
-                                  if table_stats is not None else 0.0),
-            store_bits_per_state=(table_stats.bits_per_state
-                                  if table_stats is not None else 0.0),
-            trail_path=getattr(result, "trail_path", None),
-            cost_profile=cost_profile,
-        )
-
-    # ------------------------------------------------------- serialisation --
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "operations": self.operations,
-            "unique_states": self.unique_states,
-            "sim_time": self.sim_time,
-            "ops_per_second": self.ops_per_second,
-            "stopped_reason": self.stopped_reason,
-            "revisited_states": self.revisited_states,
-            "duplicate_hits": self.duplicate_hits,
-            "duplicate_hit_ratio": self.duplicate_hit_ratio,
-            "fsck_checks": self.fsck_checks,
-            "show_fsck": self.show_fsck,
-            "bytes_snapshotted": self.bytes_snapshotted,
-            "bytes_restored": self.bytes_restored,
-            "snapshot_dedup_ratio": self.snapshot_dedup_ratio,
-            "omission_possible": self.omission_possible,
-            "omission_probability": self.omission_probability,
-            "store_bits_per_state": self.store_bits_per_state,
-            "trail_path": self.trail_path,
-            "minimized_operations": self.minimized_operations,
-            "cost_profile": self.cost_profile,
-        }
-
-    @classmethod
-    def from_dict(cls, document: Dict[str, Any]) -> "RunSummary":
-        return cls(
-            operations=document["operations"],
-            unique_states=document["unique_states"],
-            sim_time=document["sim_time"],
-            ops_per_second=document["ops_per_second"],
-            stopped_reason=document["stopped_reason"],
-            revisited_states=document.get("revisited_states", 0),
-            duplicate_hits=document.get("duplicate_hits", 0),
-            duplicate_hit_ratio=document.get("duplicate_hit_ratio", 0.0),
-            fsck_checks=document.get("fsck_checks", 0),
-            show_fsck=document.get("show_fsck", False),
-            bytes_snapshotted=document.get("bytes_snapshotted", 0),
-            bytes_restored=document.get("bytes_restored", 0),
-            snapshot_dedup_ratio=document.get("snapshot_dedup_ratio", 0.0),
-            omission_possible=document.get("omission_possible", False),
-            omission_probability=document.get("omission_probability", 0.0),
-            store_bits_per_state=document.get("store_bits_per_state", 0.0),
-            trail_path=document.get("trail_path"),
-            minimized_operations=document.get("minimized_operations"),
-            cost_profile=document.get("cost_profile"),
-        )
-
-    def render(self) -> str:
-        lines = [
-            f"operations : {self.operations}",
-            f"new states : {self.unique_states}",
-            f"dup hits   : {self.duplicate_hits} "
-            f"({self.duplicate_hit_ratio:.1%} of visits)",
-            f"sim time   : {self.sim_time:.3f}s "
-            f"({self.ops_per_second:.1f} ops/s)",
-            f"stopped    : {self.stopped_reason}",
-        ]
-        if self.omission_possible:
-            lines.append(
-                f"store      : LOSSY ({self.store_bits_per_state:.1f} "
-                f"bits/state, omission p <= "
-                f"{self.omission_probability:.2e})"
-            )
-        if self.bytes_snapshotted or self.bytes_restored:
-            lines.append(
-                f"snapshots  : {self.bytes_snapshotted} B copied / "
-                f"{self.bytes_restored} B restored "
-                f"(dedup {self.snapshot_dedup_ratio:.1f}x)"
-            )
-        if self.cost_profile:
-            from repro.mc.perf import CostProfile
-
-            lines.append("cost/state : "
-                         + CostProfile.from_dict(self.cost_profile).describe())
-        if self.show_fsck:
-            lines.append(f"fsck sweeps: {self.fsck_checks}")
-        if self.trail_path:
-            lines.append(f"trail      : {self.trail_path}")
-        if self.minimized_operations is not None:
-            lines.append(f"minimized  : {self.minimized_operations} operation(s)")
-        return "\n".join(lines)
-
-
 def replay(operations: Sequence[Operation], futs, catalog) -> List[LoggedOperation]:
     """Re-execute a logged sequence on fresh FUTs; return the new log.
 

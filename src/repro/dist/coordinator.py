@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import multiprocessing
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from multiprocessing.connection import wait as connection_wait
 from typing import Any, Deque, Dict, List, Optional
 
+from repro.core.metrics import MetricsView, RunMetrics, check_document
 from repro.core.report import DiscrepancyReport
 from repro.dist import realtime
 from repro.dist.protocol import (
@@ -39,6 +40,8 @@ from repro.dist.protocol import (
     Hello,
     NoMoreWork,
     PackedVisitedBatch,
+    RESULT_VERSION,
+    ResultDocument,
     Shutdown,
     UnitDone,
     UnitResult,
@@ -80,57 +83,37 @@ class WorkerRecord:
     pid: Optional[int] = None
     alive: bool = True
     units_completed: int = 0
-    operations: int = 0
-    sim_time: float = 0.0
+    #: merged counters of the units this worker completed
+    metrics: RunMetrics = field(default_factory=RunMetrics)
+    #: lease-held wall seconds (grant to result, including dead leases)
     wall_time: float = 0.0
 
 
 @dataclass
-class WorkerSummary:
-    """Per-worker accounting surfaced by ``repro swarm``."""
+class WorkerSummary(ResultDocument):
+    """Per-worker accounting surfaced by ``repro swarm``; its
+    ``metrics.wall_time`` is the worker's lease-held wall time."""
 
     worker_id: str
     units_completed: int
-    operations: int
-    sim_time: float
-    wall_time: float
     alive_at_end: bool
+    metrics: RunMetrics = field(default_factory=RunMetrics)
 
     @property
     def wall_ops_per_second(self) -> float:
         return self.operations / self.wall_time if self.wall_time > 0 else 0.0
 
-    # ------------------------------------------------------- serialisation --
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "worker_id": self.worker_id,
-            "units_completed": self.units_completed,
-            "operations": self.operations,
-            "sim_time": self.sim_time,
-            "wall_time": self.wall_time,
-            "alive_at_end": self.alive_at_end,
-        }
-
-    @classmethod
-    def from_dict(cls, document: Dict[str, Any]) -> "WorkerSummary":
-        return cls(
-            worker_id=document["worker_id"],
-            units_completed=int(document.get("units_completed", 0)),
-            operations=int(document.get("operations", 0)),
-            sim_time=float(document.get("sim_time", 0.0)),
-            wall_time=float(document.get("wall_time", 0.0)),
-            alive_at_end=bool(document.get("alive_at_end", True)),
-        )
-
 
 @dataclass
-class DistResult:
-    """The deterministic merge of a distributed campaign."""
+class DistResult(MetricsView):
+    """The deterministic merge of a distributed campaign; counters come
+    from :attr:`metrics`, the merge of every unit's record."""
 
     workers: int
     unit_results: List[UnitResult] = field(default_factory=list)
     table: AbstractVisitedTable = field(default_factory=VisitedStateTable)
     worker_summaries: List[WorkerSummary] = field(default_factory=list)
+    #: the campaign's real elapsed seconds
     wall_time: float = 0.0
     recovered_units: int = 0
     stolen_units: int = 0
@@ -138,13 +121,24 @@ class DistResult:
     cross_worker_duplicates: int = 0
     #: which data plane carried visited-state traffic ("shm" or "rpc")
     data_plane: str = "rpc"
-    #: campaign-wide per-state cost breakdown (unit profiles merged;
-    #: :meth:`repro.mc.perf.CostProfile.to_dict` form) when the spec
-    #: profiled; None otherwise
-    cost_profile: Optional[Dict[str, Any]] = None
     #: trail files written from unit violations (``trail_dir`` set),
     #: ordered by unit index like :attr:`discrepancies`
     trail_paths: List[str] = field(default_factory=list)
+
+    @property
+    def metrics(self) -> RunMetrics:
+        """Every unit's record merged by its declared rules, plus the
+        merged table's store risk; the campaign's unique states are the
+        merged table's size, its sim time the modeled parallel time, and
+        its wall time the campaign's elapsed time."""
+        store = RunMetrics(
+            omission_possible=self.table.stats.omission_possible,
+            omission_probability=self.table.stats.omission_probability)
+        merged = RunMetrics.merge_all(
+            [unit.metrics for unit in self.unit_results] + [store])
+        return replace(merged, unique_states=self.visited_states,
+                       sim_time=self.modeled_parallel_time,
+                       wall_time=self.wall_time)
 
     # ------------------------------------------------------------- derived --
     @property
@@ -154,7 +148,7 @@ class DistResult:
 
     @property
     def total_operations(self) -> int:
-        return sum(unit.operations for unit in self.unit_results)
+        return self.metrics.operations
 
     @property
     def discrepancies(self) -> List[DiscrepancyReport]:
@@ -175,39 +169,6 @@ class DistResult:
     def sequential_sim_time(self) -> float:
         """Simulated compute if every unit ran back to back."""
         return sum(unit.sim_time for unit in self.unit_results)
-
-    @property
-    def omission_possible(self) -> bool:
-        """True when the campaign's store could have omitted states."""
-        return (self.table.stats.omission_possible
-                or any(unit.omission_possible for unit in self.unit_results))
-
-    @property
-    def omission_probability(self) -> float:
-        """Worst per-query omission probability seen anywhere."""
-        return max(
-            [self.table.stats.omission_probability]
-            + [unit.omission_probability for unit in self.unit_results]
-        )
-
-    @property
-    def bytes_snapshotted(self) -> int:
-        """Bytes the fleet's checkpoint paths physically copied."""
-        return sum(unit.bytes_snapshotted for unit in self.unit_results)
-
-    @property
-    def bytes_restored(self) -> int:
-        """Bytes the fleet's restores physically rewrote."""
-        return sum(unit.bytes_restored for unit in self.unit_results)
-
-    @property
-    def snapshot_dedup_ratio(self) -> float:
-        """Fleet-wide logical-to-physical snapshot ratio (0.0 = none)."""
-        physical = self.bytes_snapshotted
-        if physical <= 0:
-            return 0.0
-        logical = sum(unit.logical_snapshot_bytes for unit in self.unit_results)
-        return logical / physical
 
     @property
     def modeled_parallel_time(self) -> float:
@@ -252,48 +213,33 @@ class DistResult:
         """
         from repro.mc.persistence import snapshot_document
 
-        return {
-            "workers": self.workers,
-            "wall_time": self.wall_time,
-            "recovered_units": self.recovered_units,
-            "stolen_units": self.stolen_units,
-            "inline_units": self.inline_units,
-            "cross_worker_duplicates": self.cross_worker_duplicates,
-            "data_plane": self.data_plane,
-            "cost_profile": self.cost_profile,
-            "trail_paths": list(self.trail_paths),
-            "unit_results": [unit.to_dict() for unit in self.unit_results],
-            "worker_summaries": [summary.to_dict()
-                                 for summary in self.worker_summaries],
-            "table": snapshot_document(self.table),
-        }
+        document = {item.name: getattr(self, item.name)
+                    for item in fields(self)}
+        document.update(
+            version=RESULT_VERSION,
+            trail_paths=list(self.trail_paths),
+            unit_results=[unit.to_dict() for unit in self.unit_results],
+            worker_summaries=[summary.to_dict()
+                              for summary in self.worker_summaries],
+            table=snapshot_document(self.table),
+        )
+        return document
 
     @classmethod
     def from_dict(cls, document: Dict[str, Any]) -> "DistResult":
+        """Strict inverse of :meth:`to_dict`."""
         from repro.mc.persistence import snapshot_from_document
 
-        result = cls(
-            workers=int(document["workers"]),
-            wall_time=float(document.get("wall_time", 0.0)),
-            recovered_units=int(document.get("recovered_units", 0)),
-            stolen_units=int(document.get("stolen_units", 0)),
-            inline_units=int(document.get("inline_units", 0)),
-            cross_worker_duplicates=int(
-                document.get("cross_worker_duplicates", 0)),
-            data_plane=str(document.get("data_plane", "rpc")),
-            cost_profile=document.get("cost_profile"),
-            trail_paths=list(document.get("trail_paths", [])),
-            unit_results=[UnitResult.from_dict(entry)
-                          for entry in document.get("unit_results", [])],
-            worker_summaries=[WorkerSummary.from_dict(entry)
-                              for entry in document.get("worker_summaries",
-                                                        [])],
-        )
-        table_document = document.get("table")
-        if table_document is not None:
-            snapshot = snapshot_from_document(table_document)
-            result.table = snapshot.visited
-        return result
+        values = check_document(document, RESULT_VERSION,
+                                [item.name for item in fields(cls)],
+                                "DistResult")
+        values["unit_results"] = [UnitResult.from_dict(entry)
+                                  for entry in values["unit_results"]]
+        values["worker_summaries"] = [
+            WorkerSummary.from_dict(entry)
+            for entry in values["worker_summaries"]]
+        values["table"] = snapshot_from_document(values["table"]).visited
+        return cls(**values)
 
 
 class _ServiceSink(ResultSink):
@@ -504,15 +450,6 @@ class DistributedChecker:
 
         result.unit_results.sort(key=lambda unit: unit.index)
         result.table = service.table
-        profiles = [unit.cost_profile for unit in result.unit_results
-                    if unit.cost_profile is not None]
-        if profiles:
-            from repro.mc.perf import CostProfile
-
-            merged = CostProfile()
-            for document in profiles:
-                merged.merge(CostProfile.from_dict(document))
-            result.cost_profile = merged.to_dict()
         if self.trail_dir is not None:
             self._capture_trails(result)
         result.cross_worker_duplicates = service.cross_worker_duplicates
@@ -520,10 +457,8 @@ class DistributedChecker:
             WorkerSummary(
                 worker_id=record.worker_id,
                 units_completed=record.units_completed,
-                operations=record.operations,
-                sim_time=record.sim_time,
-                wall_time=record.wall_time,
                 alive_at_end=record.alive,
+                metrics=replace(record.metrics, wall_time=record.wall_time),
             )
             for record in records
         ]
@@ -560,8 +495,6 @@ class DistributedChecker:
             ))
 
     def _spawn_fleet(self) -> List[WorkerRecord]:
-        from dataclasses import replace
-
         records: List[WorkerRecord] = []
         segment_names = tuple(segment.name for segment in self._shm_segments)
         for slot in range(self.workers):
@@ -690,8 +623,7 @@ class DistributedChecker:
                 if lease is not None and lease.unit.index == unit_result.index:
                     leases.pop(record.worker_id)
                 record.units_completed += 1
-                record.operations += unit_result.operations
-                record.sim_time += unit_result.sim_time
+                record.metrics = record.metrics.merge(unit_result.metrics)
                 if record.worker_id in wall_started:
                     record.wall_time += now - wall_started.pop(record.worker_id)
                 if unit_result.index not in results:

@@ -23,9 +23,10 @@ fault-tolerance semantics built on heartbeats and lease deadlines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.metrics import MetricsView, RunMetrics, check_document
 from repro.dist.spec import WorkUnit
 
 #: packed-batch key widths/forms by store kind: exact and tiered ship
@@ -173,55 +174,47 @@ class Checkpoint:
     document: Dict[str, Any]
 
 
+#: version of the result documents (unit results, worker summaries,
+#: merged campaigns) the server wire and spool carry; version 1 was the
+#: unversioned layout with the counters inlined
+RESULT_VERSION = 2
+
+
+class ResultDocument(MetricsView):
+    """A result dataclass of JSON-ready identity fields plus one
+    ``metrics`` record, as a versioned, strictly decoded document."""
+
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON-ready form; the server wire and result spool use this."""
+        document = {item.name: getattr(self, item.name)
+                    for item in fields(self)}
+        document.update(version=RESULT_VERSION,
+                        metrics=self.metrics.to_dict())
+        return document
+
+    @classmethod
+    def from_dict(cls, document: Dict[str, Any]):
+        """Strict inverse of :meth:`to_dict` (``ValueError`` on an
+        unknown version, an unknown key, or a missing one)."""
+        values = check_document(document, RESULT_VERSION,
+                                [item.name for item in fields(cls)],
+                                cls.__name__)
+        values["metrics"] = RunMetrics.from_dict(values["metrics"])
+        return cls(**values)
+
+
 @dataclass
-class UnitResult:
-    """Everything a finished work unit reports back (and the merge keeps)."""
+class UnitResult(ResultDocument):
+    """A finished work unit: which seed ran where, what it found, and
+    its counters (:attr:`metrics`, readable as ``unit.operations``)."""
 
     index: int
     seed: int
     worker_id: str
-    operations: int = 0
-    transitions: int = 0
-    unique_states: int = 0
-    revisited_states: int = 0
-    sim_time: float = 0.0
-    wall_time: float = 0.0
     stopped_reason: str = ""
     #: serialised DiscrepancyReport (``to_dict()``) when the unit hit a bug
     violation: Optional[Dict[str, Any]] = None
-    #: hashes shipped to / suppressed before the visited service
-    shipped_hashes: int = 0
-    suppressed_hashes: int = 0
-    probable_cross_duplicates: int = 0
-    #: snapshot traffic (defaulted so v1 result documents still load):
-    #: bytes the COW checkpoint path physically copied / rewrote, and
-    #: the full-copy volume it stood in for
-    bytes_snapshotted: int = 0
-    bytes_restored: int = 0
-    logical_snapshot_bytes: int = 0
-    #: lossy-store accounting (defaulted so older result documents still
-    #: load): whether the unit's local store could omit states, and the
-    #: final per-query probability of such an omission
-    omission_possible: bool = False
-    omission_probability: float = 0.0
-    #: per-state cost breakdown (:meth:`repro.mc.perf.CostProfile.to_dict`
-    #: form) when the campaign profiled; None otherwise
-    cost_profile: Optional[Dict[str, Any]] = None
-
-    # ------------------------------------------------------- serialisation --
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form; the server wire and result spool use this."""
-        return {result_field.name: getattr(self, result_field.name)
-                for result_field in fields(self)}
-
-    @classmethod
-    def from_dict(cls, document: Dict[str, Any]) -> "UnitResult":
-        """Rebuild from :meth:`to_dict` output; unknown keys are ignored
-        and missing keys fall back to defaults, so result documents
-        survive protocol evolution in both directions."""
-        known = {result_field.name for result_field in fields(cls)}
-        return cls(**{key: value for key, value in document.items()
-                      if key in known})
+    metrics: RunMetrics = field(default_factory=RunMetrics)
 
 
 @dataclass(frozen=True)

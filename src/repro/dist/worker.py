@@ -24,6 +24,7 @@ import signal
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.metrics import RunMetrics
 from repro.dist import realtime
 from repro.dist.bloom import BloomFilter, LRUSet
 from repro.dist.client import ShippingVisitedTable
@@ -285,24 +286,14 @@ def run_unit(spec: CheckSpec, unit: WorkUnit, worker_id: str,
         index=unit.index,
         seed=unit.seed,
         worker_id=worker_id,
-        operations=result.operations,
-        transitions=result.stats.transitions,
-        unique_states=result.stats.unique_states,
-        revisited_states=result.stats.revisited_states,
-        sim_time=result.sim_time,
-        wall_time=realtime.now() - wall_start,
         stopped_reason=result.stats.stopped_reason,
         violation=result.report.to_dict() if result.report else None,
-        shipped_hashes=table.shipped_hashes,
-        suppressed_hashes=table.suppressed_hashes,
-        probable_cross_duplicates=(table.probable_cross_duplicates
-                                   + peer_duplicates),
-        omission_possible=table.stats.omission_possible,
-        omission_probability=table.stats.omission_probability,
-        bytes_snapshotted=result.bytes_snapshotted,
-        bytes_restored=result.bytes_restored,
-        logical_snapshot_bytes=result.logical_snapshot_bytes,
-        cost_profile=profile.to_dict() if profile is not None else None,
+        # the shipping counters are final only after the last flush
+        metrics=RunMetrics.collect(
+            table, result.metrics,
+            wall_time=realtime.now() - wall_start,
+            probable_cross_duplicates=(table.probable_cross_duplicates
+                                       + peer_duplicates)),
     )
 
 

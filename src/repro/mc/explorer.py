@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.clock import SimClock
@@ -129,22 +129,11 @@ class ExplorationStats:
                 "message": str(self.violation),
                 "report": report.to_dict() if report is not None else None,
             }
-        return {
-            "operations": self.operations,
-            "transitions": self.transitions,
-            "unique_states": self.unique_states,
-            "revisited_states": self.revisited_states,
-            "checkpoints": self.checkpoints,
-            "restores": self.restores,
-            "por_pruned": self.por_pruned,
-            "fsck_checks": self.fsck_checks,
-            "max_depth_reached": self.max_depth_reached,
-            "start_time": self.start_time,
-            "end_time": self.end_time,
-            "stopped_reason": self.stopped_reason,
-            "samples": [list(sample) for sample in self.samples],
-            "violation": violation,
-        }
+        document = {item.name: getattr(self, item.name)
+                    for item in fields(self)}
+        document["samples"] = [list(sample) for sample in self.samples]
+        document["violation"] = violation
+        return document
 
     @classmethod
     def from_dict(cls, document: Dict[str, Any]) -> "ExplorationStats":
@@ -162,22 +151,16 @@ class ExplorationStats:
                     DiscrepancyReport.from_dict(raw["report"]))
             else:
                 violation = PropertyViolation(raw.get("message", ""))
-        return cls(
-            operations=int(document.get("operations", 0)),
-            transitions=int(document.get("transitions", 0)),
-            unique_states=int(document.get("unique_states", 0)),
-            revisited_states=int(document.get("revisited_states", 0)),
-            checkpoints=int(document.get("checkpoints", 0)),
-            restores=int(document.get("restores", 0)),
-            por_pruned=int(document.get("por_pruned", 0)),
-            fsck_checks=int(document.get("fsck_checks", 0)),
-            max_depth_reached=int(document.get("max_depth_reached", 0)),
-            start_time=float(document.get("start_time", 0.0)),
-            end_time=float(document.get("end_time", 0.0)),
-            stopped_reason=document.get("stopped_reason", ""),
-            samples=[tuple(sample) for sample in document.get("samples", [])],
+        stats = cls(
             violation=violation,
+            samples=[tuple(sample) for sample in document.get("samples", [])],
         )
+        for item in fields(cls):
+            if item.name in document and item.name not in (
+                    "violation", "samples"):
+                setattr(stats, item.name,
+                        type(item.default)(document[item.name]))
+        return stats
 
 
 class Explorer:

@@ -22,7 +22,7 @@ plug in behind the same :class:`AbstractVisitedTable` interface.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.clock import Cost
@@ -68,29 +68,13 @@ class TableStats:
         return self.stored_bytes * 8 / self.inserts if self.inserts else 0.0
 
     def to_dict(self) -> Dict[str, float]:
-        return {
-            "inserts": self.inserts,
-            "duplicate_hits": self.duplicate_hits,
-            "resizes": self.resizes,
-            "resize_time": self.resize_time,
-            "stored_bytes": self.stored_bytes,
-            "omission_possible": self.omission_possible,
-            "omission_probability": self.omission_probability,
-        }
+        return {item.name: getattr(self, item.name) for item in fields(self)}
 
     @classmethod
     def from_dict(cls, document: Dict[str, Any]) -> "TableStats":
         """Rebuild from :meth:`to_dict` output (missing keys default)."""
-        return cls(
-            inserts=int(document.get("inserts", 0)),
-            duplicate_hits=int(document.get("duplicate_hits", 0)),
-            resizes=int(document.get("resizes", 0)),
-            resize_time=float(document.get("resize_time", 0.0)),
-            stored_bytes=int(document.get("stored_bytes", 0)),
-            omission_possible=bool(document.get("omission_possible", False)),
-            omission_probability=float(
-                document.get("omission_probability", 0.0)),
-        )
+        return cls(**{item.name: type(item.default)(document[item.name])
+                      for item in fields(cls) if item.name in document})
 
     def reset(self) -> None:
         """Zero every counter (``omission_possible`` is sticky: it

@@ -126,6 +126,13 @@ class CostProfile:
             self.calls[bucket] += other.calls.get(bucket, 0)
         self.states += other.states
 
+    def __add__(self, other: "CostProfile") -> "CostProfile":
+        """A new profile holding both (``RunMetrics``' sum rule)."""
+        total = CostProfile()
+        total.merge(self)
+        total.merge(other)
+        return total
+
     # -------------------------------------------------------------- derived --
     @property
     def total_seconds(self) -> float:
@@ -138,7 +145,7 @@ class CostProfile:
                 for bucket in BUCKETS}
 
     def describe(self) -> str:
-        """One-line per-state breakdown (``RunSummary`` renders this)."""
+        """One-line per-state breakdown (``RunMetrics.render`` shows it)."""
         per_state = self.per_state_microseconds()
         total = self.total_seconds
         parts = []

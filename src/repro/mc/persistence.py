@@ -111,15 +111,7 @@ def snapshot_document(visited: AbstractVisitedTable,
 
 
 def _stats_from_raw(raw: Dict[str, Any], fallback_inserts: int) -> TableStats:
-    return TableStats(
-        inserts=int(raw.get("inserts", fallback_inserts)),
-        duplicate_hits=int(raw.get("duplicate_hits", 0)),
-        resizes=int(raw.get("resizes", 0)),
-        resize_time=float(raw.get("resize_time", 0.0)),
-        stored_bytes=int(raw.get("stored_bytes", 0)),
-        omission_possible=bool(raw.get("omission_possible", False)),
-        omission_probability=float(raw.get("omission_probability", 0.0)),
-    )
+    return TableStats.from_dict({"inserts": fallback_inserts, **raw})
 
 
 def snapshot_from_document(document: Dict[str, Any],

@@ -27,11 +27,12 @@ service.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Set, Tuple
 
+from repro.core.metrics import MetricsView, RunMetrics
 from repro.mc.explorer import ExplorationStats, Explorer
-from repro.mc.hashtable import AbstractVisitedTable, TableStats, VisitedStateTable
+from repro.mc.hashtable import AbstractVisitedTable, VisitedStateTable
 from repro.mc.statestore import parse_store_spec
 
 
@@ -62,14 +63,14 @@ class RecordingTable(AbstractVisitedTable):
 
 
 @dataclass
-class SwarmMemberResult:
+class SwarmMemberResult(MetricsView):
     seed: int
+    #: the member explorer's record (violation, depth reached)
     stats: ExplorationStats
     coverage: Set[str]
-    sim_time: float
-    #: the member's visited-store counters (omission accounting for
-    #: lossy stores); shared in cooperative mode
-    table_stats: Optional[TableStats] = None
+    #: the member's counters (store omission risk included); shared
+    #: store counters in cooperative mode
+    metrics: RunMetrics = field(default_factory=RunMetrics)
 
     # ------------------------------------------------------- serialisation --
     def to_dict(self) -> dict:
@@ -77,29 +78,30 @@ class SwarmMemberResult:
         every merge in this repo -- is deterministic)."""
         return {
             "seed": self.seed,
-            "sim_time": self.sim_time,
             "coverage": sorted(self.coverage),
             "stats": self.stats.to_dict(),
-            "table_stats": (self.table_stats.to_dict()
-                            if self.table_stats is not None else None),
+            "metrics": self.metrics.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, document: dict) -> "SwarmMemberResult":
-        raw_stats = document.get("table_stats")
         return cls(
             seed=int(document["seed"]),
-            stats=ExplorationStats.from_dict(document.get("stats", {})),
-            coverage=set(document.get("coverage", [])),
-            sim_time=float(document.get("sim_time", 0.0)),
-            table_stats=(TableStats.from_dict(raw_stats)
-                         if raw_stats is not None else None),
+            stats=ExplorationStats.from_dict(document["stats"]),
+            coverage=set(document["coverage"]),
+            metrics=RunMetrics.from_dict(document["metrics"]),
         )
 
 
 @dataclass
-class SwarmResult:
+class SwarmResult(MetricsView):
     members: List[SwarmMemberResult] = field(default_factory=list)
+
+    @property
+    def metrics(self) -> RunMetrics:
+        """The members' records merged; sim time is :attr:`parallel_time`."""
+        merged = RunMetrics.merge_all(member.metrics for member in self.members)
+        return replace(merged, sim_time=self.parallel_time)
 
     @property
     def union_coverage(self) -> Set[str]:
@@ -119,21 +121,7 @@ class SwarmResult:
 
     @property
     def total_operations(self) -> int:
-        return sum(member.stats.operations for member in self.members)
-
-    @property
-    def omission_possible(self) -> bool:
-        """True when any member ran a lossy visited-state store."""
-        return any(member.table_stats is not None
-                   and member.table_stats.omission_possible
-                   for member in self.members)
-
-    @property
-    def omission_probability(self) -> float:
-        """Worst member omission probability (0.0 for exact stores)."""
-        return max((member.table_stats.omission_probability
-                    for member in self.members
-                    if member.table_stats is not None), default=0.0)
+        return self.metrics.operations
 
     def first_violation(self):
         for member in self.members:
@@ -148,7 +136,7 @@ class SwarmResult:
     @classmethod
     def from_dict(cls, document: dict) -> "SwarmResult":
         return cls(members=[SwarmMemberResult.from_dict(entry)
-                            for entry in document.get("members", [])])
+                            for entry in document["members"]])
 
 
 class SwarmVerifier:
@@ -245,8 +233,8 @@ class SwarmVerifier:
                     seed=seed,
                     stats=stats,
                     coverage=coverage,
-                    sim_time=clock.now - start,
-                    table_stats=visited.stats,
+                    metrics=RunMetrics.collect(
+                        stats, visited.stats, sim_time=clock.now - start),
                 )
             )
             if stats.violation is not None:

@@ -49,6 +49,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional
 from repro.clock import SimClock
 from repro.core.report import DiscrepancyReport
 from repro.dist.coordinator import DistResult, DistributedChecker
+from repro.dist.protocol import UnitResult
 from repro.dist.service import VisitedStateService
 from repro.dist.spec import CheckSpec, WorkUnit
 from repro.dist.worker import ResultSink, WorkerConfig, run_unit
@@ -68,7 +69,9 @@ from repro.server.protocol import (
 )
 from repro.trail import capture_trail
 
-SPOOL_VERSION = 1
+#: version 2 nests each unit's counters in a versioned RunMetrics
+#: document; older spools are refused on reload, never half-read
+SPOOL_VERSION = 2
 
 #: forcing below this bitstate size would be omission theatre, not
 #: checking -- a tenant this far over budget gets a refusal instead
@@ -137,8 +140,6 @@ class _Runtime:
     recovered_units: int = 0
     inline_units: int = 0
     result: Optional[DistResult] = None
-    #: result document from the spool (job finished before a restart)
-    result_document: Optional[Dict[str, Any]] = None
 
 
 class _EngineSink(ResultSink):
@@ -601,8 +602,6 @@ class CampaignEngine:
         runtime = self._runtimes.get(job_id)
         if runtime is not None and runtime.result is not None:
             return runtime.result
-        if runtime is not None and runtime.result_document is not None:
-            return DistResult.from_dict(runtime.result_document)
         raise InvalidTransition(job_id, descriptor.state, "fetch result of")
 
     # ---------------------------------------------------------------- spool --
@@ -645,8 +644,7 @@ class CampaignEngine:
                              if runtime is not None else []),
             "result": (runtime.result.to_dict()
                        if runtime is not None and runtime.result is not None
-                       else (runtime.result_document
-                             if runtime is not None else None)),
+                       else None),
         }
         path = self._spool_path(job_id)
         tmp_path = path + ".tmp"
@@ -667,38 +665,16 @@ class CampaignEngine:
         for filename in sorted(os.listdir(self.config.spool_dir)):
             if not filename.endswith(".json"):
                 continue
-            with open(os.path.join(self.config.spool_dir, filename),
-                      encoding="utf-8") as handle:
-                entries.append(json.load(handle))
-        for document in sorted(entries,
-                               key=lambda entry: entry.get("submit_seq", 0)):
-            descriptor = JobDescriptor.from_dict(document["descriptor"])
-            spec = CheckSpec.from_dict(descriptor.spec)
-            from repro.dist.protocol import UnitResult
-
-            unit_results = [UnitResult.from_dict(entry)
-                            for entry in document.get("unit_results", [])]
-            snapshot = document.get("snapshot")
-            frontier = (snapshot or {}).get("frontier",
-                                            document.get("pending", []))
-            if descriptor.state == RUNNING:
-                # interrupted mid-run: completed units are kept, the
-                # remainder recomputed; determinism makes this a resume
-                done_indices = {unit.index for unit in unit_results}
-                frontier = [unit.index for unit in spec.work_units()
-                            if unit.index not in done_indices]
-                descriptor.state = QUEUED
-            by_index = {unit.index: unit for unit in spec.work_units()}
-            pending = deque(by_index[index] for index in frontier
-                            if index in by_index)
-            runtime = _Runtime(
-                spec=spec,
-                pending=pending,
-                submit_seq=int(document.get("submit_seq", 0)),
-                snapshot=snapshot,
-                unit_results=unit_results,
-                result_document=document.get("result"),
-            )
+            try:
+                with open(os.path.join(self.config.spool_dir, filename),
+                          encoding="utf-8") as handle:
+                    entries.append(self._decode_spool(json.load(handle)))
+            except (AttributeError, KeyError, TypeError,
+                    ValueError) as error:
+                raise ValueError(
+                    f"malformed spool entry {filename}: {error}") from error
+        for descriptor, runtime in sorted(
+                entries, key=lambda entry: entry[1].submit_seq):
             self.jobs[descriptor.job_id] = descriptor
             self._runtimes[descriptor.job_id] = runtime
             if descriptor.state == QUEUED:
@@ -716,3 +692,37 @@ class CampaignEngine:
                           descriptor.submitted_vtime):
                 if vtime is not None and vtime > self.clock.now:
                     self.clock.charge(vtime - self.clock.now, "restored")
+
+    @staticmethod
+    def _decode_spool(document: Dict[str, Any]):
+        """One spool document -> ``(descriptor, runtime)``; raises on a
+        wrong version or any malformed part."""
+        version = document.get("spool_version")
+        if version != SPOOL_VERSION:
+            raise ValueError(f"unsupported spool version {version!r} "
+                             f"(this build reads version {SPOOL_VERSION})")
+        descriptor = JobDescriptor.from_dict(document["descriptor"])
+        spec = CheckSpec.from_dict(descriptor.spec)
+        unit_results = [UnitResult.from_dict(entry)
+                        for entry in document["unit_results"]]
+        snapshot = document["snapshot"]
+        frontier = (snapshot or {}).get("frontier", document["pending"])
+        if descriptor.state == RUNNING:
+            # interrupted mid-run: completed units are kept, the
+            # remainder recomputed; determinism makes this a resume
+            done_indices = {unit.index for unit in unit_results}
+            frontier = [unit.index for unit in spec.work_units()
+                        if unit.index not in done_indices]
+            descriptor.state = QUEUED
+        by_index = {unit.index: unit for unit in spec.work_units()}
+        pending = deque(by_index[index] for index in frontier
+                        if index in by_index)
+        result = document["result"]
+        return descriptor, _Runtime(
+            spec=spec,
+            pending=pending,
+            submit_seq=int(document["submit_seq"]),
+            snapshot=snapshot,
+            unit_results=unit_results,
+            result=DistResult.from_dict(result) if result else None,
+        )

@@ -16,7 +16,7 @@ import json
 import pytest
 
 from repro.clock import SimClock
-from repro.core.report import RunSummary
+from repro.core.metrics import RunMetrics
 from repro.dist import (
     BloomFilter,
     CheckSpec,
@@ -437,21 +437,22 @@ class TestCooperativeSwarm:
 # ------------------------------------------------------------ reporting --
 class TestRunSummary:
     def test_render_includes_duplicate_hit_ratio(self):
-        summary = RunSummary(operations=10, unique_states=7, sim_time=0.5,
-                             ops_per_second=20.0, stopped_reason="budget",
-                             duplicate_hits=3, duplicate_hit_ratio=0.3)
-        text = summary.render()
+        metrics = RunMetrics(operations=10, unique_states=7, sim_time=0.5,
+                             inserts=7, duplicate_hits=3)
+        text = metrics.render()
         assert "operations : 10" in text
         assert "dup hits   : 3 (30.0% of visits)" in text
+        assert "(20.0 ops/s)" in text
         assert "fsck" not in text
 
     def test_from_result_reads_table_stats(self):
-        mcfs = SPEC.build_mcfs()
-        result = mcfs.run_random(max_operations=50, seed=1)
-        summary = RunSummary.from_result(result)
-        assert summary.operations == 50
-        assert summary.duplicate_hits == result.table_stats.duplicate_hits
-        assert 0.0 <= summary.duplicate_hit_ratio <= 1.0
+        table = VisitedStateTable()
+        result = SPEC.build_mcfs().run_random(max_operations=50, seed=1,
+                                              visited=table)
+        assert result.metrics.operations == 50
+        assert result.duplicate_hits == table.stats.duplicate_hits
+        assert result.inserts == table.stats.inserts
+        assert 0.0 <= result.duplicate_hit_ratio <= 1.0
 
 
 class TestMCFSWorkersOption:

@@ -14,14 +14,19 @@ Where a type embeds non-comparable state (exception objects inside
 """
 
 import json
+import math
+from dataclasses import fields
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.metrics import RunMetrics
 from repro.dist.coordinator import DistResult, WorkerSummary
 from repro.dist.protocol import UnitResult
 from repro.dist.spec import CheckSpec
 from repro.mc.explorer import ExplorationStats
-from repro.mc.hashtable import TableStats, VisitedStateTable
+from repro.mc.hashtable import VisitedStateTable
+from repro.mc.perf import BUCKETS, CostProfile
 from repro.mc.swarm import SwarmMemberResult, SwarmResult
 from repro.server.protocol import JobDescriptor, JobEvent, SubmitRequest
 
@@ -50,50 +55,42 @@ violations = st.one_of(
     }),
 )
 
+cost_profiles = st.builds(
+    CostProfile,
+    seconds=st.fixed_dictionaries({bucket: finite_floats for bucket in BUCKETS}),
+    calls=st.fixed_dictionaries({bucket: counts for bucket in BUCKETS}),
+    states=counts,
+)
+
+#: every RunMetrics field, drawn by the type its default declares
+run_metrics = st.builds(RunMetrics, **{
+    metric.name: (st.one_of(st.none(), cost_profiles)
+                  if metric.name == "cost_profile"
+                  else st.booleans() if isinstance(metric.default, bool)
+                  else st.floats(min_value=0.0, max_value=1.0,
+                                 allow_nan=False, width=32)
+                  if metric.name == "omission_probability"
+                  else finite_floats if isinstance(metric.default, float)
+                  else counts)
+    for metric in fields(RunMetrics)
+})
+
 unit_results = st.builds(
     UnitResult,
     index=st.integers(min_value=0, max_value=999),
     seed=st.integers(min_value=0, max_value=2**31),
     worker_id=names,
-    operations=counts,
-    transitions=counts,
-    unique_states=counts,
-    revisited_states=counts,
-    sim_time=finite_floats,
-    wall_time=finite_floats,
     stopped_reason=names,
     violation=violations,
-    shipped_hashes=counts,
-    suppressed_hashes=counts,
-    probable_cross_duplicates=counts,
-    bytes_snapshotted=counts,
-    bytes_restored=counts,
-    logical_snapshot_bytes=counts,
-    omission_possible=st.booleans(),
-    omission_probability=st.floats(min_value=0.0, max_value=1.0,
-                                   allow_nan=False, width=32),
+    metrics=run_metrics,
 )
 
 worker_summaries = st.builds(
     WorkerSummary,
     worker_id=names,
     units_completed=counts,
-    operations=counts,
-    sim_time=finite_floats,
-    wall_time=finite_floats,
     alive_at_end=st.booleans(),
-)
-
-table_stats = st.builds(
-    TableStats,
-    inserts=counts,
-    duplicate_hits=counts,
-    resizes=st.integers(min_value=0, max_value=100),
-    resize_time=finite_floats,
-    stored_bytes=counts,
-    omission_possible=st.booleans(),
-    omission_probability=st.floats(min_value=0.0, max_value=1.0,
-                                   allow_nan=False, width=32),
+    metrics=run_metrics,
 )
 
 exploration_stats = st.builds(
@@ -119,8 +116,7 @@ swarm_members = st.builds(
     seed=st.integers(min_value=0, max_value=2**31),
     stats=exploration_stats,
     coverage=st.sets(hashes, max_size=6),
-    sim_time=finite_floats,
-    table_stats=st.one_of(st.none(), table_stats),
+    metrics=run_metrics,
 )
 
 swarm_results = st.builds(
@@ -199,22 +195,78 @@ submit_requests = st.builds(
 
 # ------------------------------------------------------------- the tests --
 
+def assert_same_metrics(left: RunMetrics, right: RunMetrics) -> None:
+    """Equal field by field; float sums may differ in the last digits
+    when the merge grouping changes, so floats compare by tolerance."""
+
+    def same(a, b):
+        if isinstance(a, dict):
+            return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+        if isinstance(a, float) or isinstance(b, float):
+            return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9)
+        return a == b
+
+    assert same(left.to_dict(), right.to_dict()), (left, right)
+
+
+class TestRunMetrics:
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(run_metrics, min_size=1, max_size=6), st.randoms())
+    def test_round_trip_and_merge_are_lossless_and_order_free(self, records,
+                                                              rng):
+        # to_dict -> JSON -> from_dict loses nothing
+        for record in records:
+            assert RunMetrics.from_dict(through_json(record.to_dict())) == \
+                record
+        # merge: any order and any grouping (unit -> campaign -> job)
+        # folds to the same record
+        expected = RunMetrics.merge_all(records)
+        shuffled = list(records)
+        rng.shuffle(shuffled)
+        cuts = sorted(rng.sample(range(1, len(shuffled)),
+                                 rng.randint(0, len(shuffled) - 1)))
+        groups = [shuffled[start:end] for start, end
+                  in zip([0] + cuts, cuts + [len(shuffled)])]
+        regrouped = RunMetrics.merge_all(RunMetrics.merge_all(group)
+                                         for group in groups)
+        assert_same_metrics(regrouped, expected)
+        assert regrouped.operations == sum(r.operations for r in records)
+        assert regrouped.omission_possible == any(
+            r.omission_possible for r in records)
+
+    def test_unknown_and_missing_keys_are_named(self):
+        document = RunMetrics(operations=5).to_dict()
+        document["operationz"] = document.pop("operations")
+        with pytest.raises(ValueError, match="operationz") as error:
+            RunMetrics.from_dict(document)
+        assert "missing key(s) operations" in str(error.value)
+
+    def test_unknown_version_is_rejected(self):
+        document = RunMetrics().to_dict()
+        document["version"] = 99
+        with pytest.raises(ValueError, match="version 99"):
+            RunMetrics.from_dict(document)
+
+
 class TestUnitResultRoundTrip:
     @settings(max_examples=50)
     @given(unit_results)
     def test_round_trip_is_lossless(self, unit):
         assert UnitResult.from_dict(through_json(unit.to_dict())) == unit
 
-    def test_unknown_keys_are_ignored(self):
+    def test_unknown_keys_are_rejected(self):
         document = UnitResult(index=1, seed=2, worker_id="w0").to_dict()
-        document["from_the_future"] = 42
-        assert UnitResult.from_dict(document).index == 1
+        document["operationz"] = 5
+        with pytest.raises(ValueError, match="operationz"):
+            UnitResult.from_dict(document)
 
-    def test_missing_keys_fall_back_to_defaults(self):
-        unit = UnitResult.from_dict(
-            {"index": 3, "seed": 9, "worker_id": "w1"})
-        assert unit.omission_probability == 0.0
-        assert unit.violation is None
+    def test_missing_keys_are_rejected(self):
+        with pytest.raises(ValueError, match="version"):
+            UnitResult.from_dict({"index": 3, "seed": 9, "worker_id": "w1"})
+        document = UnitResult(index=3, seed=9, worker_id="w1").to_dict()
+        del document["metrics"]["sim_time"]
+        with pytest.raises(ValueError, match="sim_time"):
+            UnitResult.from_dict(document)
 
 
 class TestWorkerSummaryRoundTrip:

@@ -20,7 +20,6 @@ from repro.core.ops import Operation
 from repro.core.report import (
     DiscrepancyReport,
     LoggedOperation,
-    RunSummary,
     operation_from_dict,
     operation_to_dict,
     replay,
@@ -188,30 +187,6 @@ reports = st.builds(
     schedule=st.one_of(st.none(), st.lists(schedule_events, max_size=8)),
 )
 
-run_summaries = st.builds(
-    RunSummary,
-    operations=st.integers(min_value=0, max_value=10**9),
-    unique_states=st.integers(min_value=0, max_value=10**9),
-    sim_time=finite_floats,
-    ops_per_second=finite_floats,
-    stopped_reason=paths,
-    revisited_states=st.integers(min_value=0, max_value=10**6),
-    duplicate_hits=st.integers(min_value=0, max_value=10**6),
-    duplicate_hit_ratio=finite_floats,
-    fsck_checks=st.integers(min_value=0, max_value=10**6),
-    show_fsck=st.booleans(),
-    bytes_snapshotted=st.integers(min_value=0, max_value=10**12),
-    bytes_restored=st.integers(min_value=0, max_value=10**12),
-    snapshot_dedup_ratio=finite_floats,
-    omission_possible=st.booleans(),
-    omission_probability=finite_floats,
-    store_bits_per_state=finite_floats,
-    trail_path=st.one_of(st.none(), paths),
-    minimized_operations=st.one_of(
-        st.none(), st.integers(min_value=0, max_value=10**6)),
-)
-
-
 def through_json(document):
     """Force an actual JSON round trip, not just a dict copy."""
     return json.loads(json.dumps(document, allow_nan=False))
@@ -258,19 +233,3 @@ class TestDiscrepancyReportRoundTrip:
             {"kind": "state", "summary": "states differ"})
         assert report.state_diff is None
         assert report.schedule is None
-
-
-class TestRunSummaryRoundTrip:
-    @settings(max_examples=50)
-    @given(run_summaries)
-    def test_round_trip_is_lossless(self, summary):
-        assert RunSummary.from_dict(through_json(summary.to_dict())) == summary
-
-    @settings(max_examples=10)
-    @given(run_summaries)
-    def test_render_mentions_trail_when_set(self, summary):
-        rendered = summary.render()
-        if summary.trail_path:
-            assert summary.trail_path in rendered
-        if summary.minimized_operations is not None:
-            assert "minimized" in rendered

@@ -306,6 +306,33 @@ class TestPauseResume:
         assert fingerprint(reborn.result(job.job_id)) == \
             fingerprint(one_shot)
 
+    def test_malformed_spool_entry_fails_loudly_on_reload(self, tmp_path):
+        """A corrupted counter or a foreign spool version stops the
+        reload with the file and the problem named; nothing decodes to
+        silent zero counters."""
+        spool = str(tmp_path / "spool")
+        engine = CampaignEngine(EngineConfig(slots=1, spool_dir=spool))
+        job = submit(engine)
+        engine.step()
+        del engine
+        path = os.path.join(spool, f"{job.job_id}.json")
+        with open(path, encoding="utf-8") as handle:
+            document = json.load(handle)
+
+        def reload_with(edited):
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(edited, handle)
+            return CampaignEngine(EngineConfig(slots=1, spool_dir=spool))
+
+        typo = json.loads(json.dumps(document))
+        metrics = typo["unit_results"][0]["metrics"]
+        metrics["operationz"] = metrics.pop("operations")
+        with pytest.raises(ValueError, match=f"{job.job_id}.json.*operationz"):
+            reload_with(typo)
+        with pytest.raises(ValueError, match="spool version 1"):
+            reload_with(dict(document, spool_version=1))
+        assert reload_with(document).job(job.job_id).units_done == 1
+
 
 # -------------------------------------------------------- tenant budgets --
 class TestTenantBudgets:

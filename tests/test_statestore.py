@@ -29,7 +29,6 @@ from repro import (
     VeriFS2,
     VeriFSBug,
 )
-from repro.core.report import RunSummary
 from repro.mc.explorer import Explorer
 from repro.mc.hashtable import EXACT_ENTRY_BYTES, VisitedStateTable
 from repro.mc.memory import MemoryModel
@@ -435,8 +434,7 @@ class TestSwarmStores:
                               max_depth=3, state_store="hc")
         result = swarm.run()
         assert result.omission_possible
-        assert all(m.table_stats is not None and m.table_stats.omission_possible
-                   for m in result.members)
+        assert all(m.omission_possible for m in result.members)
 
     def test_exact_swarm_reports_no_omission(self):
         swarm = SwarmVerifier(counting_factory(), members=2, mode="dfs",
@@ -499,16 +497,14 @@ class TestBugDiscoveryAcrossStores:
         mcfs = build_mcfs(VeriFSBug.MISSING_CACHE_INVALIDATION, "hc")
         result = mcfs.run_dfs(max_depth=3, max_operations=10_000)
         assert result.omission_possible
-        assert result.table_stats.bits_per_state < EXACT_ENTRY_BYTES * 8
-        summary = RunSummary.from_result(result)
-        assert summary.omission_possible
-        assert "LOSSY" in summary.render()
+        assert result.bits_per_state < EXACT_ENTRY_BYTES * 8
+        assert "LOSSY" in result.metrics.render()
 
     def test_exact_result_renders_without_store_line(self):
         mcfs = build_mcfs(VeriFSBug.MISSING_CACHE_INVALIDATION, "exact")
         result = mcfs.run_dfs(max_depth=2, max_operations=5_000)
         assert not result.omission_possible
-        assert "LOSSY" not in RunSummary.from_result(result).render()
+        assert "LOSSY" not in result.metrics.render()
 
 
 # ------------------------------------------------- satellite: explorer fix
