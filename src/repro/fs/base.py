@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Set
+from typing import List, Optional, Set, Tuple
 
 from repro.errors import FsError, EIO
 from repro.storage.device import BlockDevice
@@ -56,34 +56,44 @@ class BufferCache:
         self.block_size = block_size
         self.block_count = device.size_bytes // block_size
         self.capacity_blocks = capacity_blocks
-        self._cache: "OrderedDict[int, bytearray]" = OrderedDict()
+        self._cache: "OrderedDict[int, bytes]" = OrderedDict()
         self._dirty: Set[int] = set()
         self.stats = BufferCacheStats()
 
+    # Cached blocks are immutable ``bytes``: a hit hands out the cached
+    # object itself, and flush/write-back pass it to the device as is.
+    # Only a mutable input (a caller's ``bytearray``) is copied, once,
+    # when it enters the cache.
+
     def read_block(self, index: int) -> bytes:
         """Read a block through the cache."""
-        self._check(index)
+        if not 0 <= index < self.block_count:
+            self._check(index)
         cached = self._cache.get(index)
         if cached is not None:
             self.stats.hits += 1
             self._cache.move_to_end(index)
-            return bytes(cached)
+            return cached
         self.stats.misses += 1
         data = self.device.read_block(index, self.block_size)
-        self._insert(index, bytearray(data))
+        self._insert(index, data)
         return data
 
     def write_block(self, index: int, data: bytes) -> None:
         """Write a block into the cache (flushed later)."""
-        self._check(index)
-        if len(data) > self.block_size:
-            raise FsError(EIO, f"write of {len(data)} bytes into {self.block_size}-byte block")
-        if len(data) < self.block_size:
-            data = data + b"\x00" * (self.block_size - len(data))
-        self._insert(index, bytearray(data))
+        if not 0 <= index < self.block_count:
+            self._check(index)
+        length = len(data)
+        if length != self.block_size:
+            if length > self.block_size:
+                raise FsError(EIO, f"write of {length} bytes into {self.block_size}-byte block")
+            data = bytes(data) + b"\x00" * (self.block_size - length)
+        elif type(data) is not bytes:
+            data = bytes(data)
+        self._insert(index, data)
         self._dirty.add(index)
 
-    def _insert(self, index: int, data: bytearray) -> None:
+    def _insert(self, index: int, data: bytes) -> None:
         self._cache[index] = data
         self._cache.move_to_end(index)
         while len(self._cache) > self.capacity_blocks:
@@ -91,14 +101,20 @@ class BufferCache:
             self.stats.evictions += 1
             if victim in self._dirty:
                 # write-back on eviction
-                self.device.write_block(victim, self.block_size, bytes(victim_data))
+                self.device.write_block(victim, self.block_size, victim_data)
                 self._dirty.discard(victim)
                 self.stats.write_backs += 1
 
+    def dirty_blocks(self) -> List[Tuple[int, bytes]]:
+        """The dirty ``(index, block)`` pairs in block order: what the
+        next :meth:`flush` will write (ext4 journals them first)."""
+        cache = self._cache
+        return [(index, cache[index]) for index in sorted(self._dirty)]
+
     def flush(self) -> None:
         """Write every dirty block back to the device."""
-        for index in sorted(self._dirty):
-            self.device.write_block(index, self.block_size, bytes(self._cache[index]))
+        for index, block in self.dirty_blocks():
+            self.device.write_block(index, self.block_size, block)
             self.stats.write_backs += 1
         self._dirty.clear()
         self.stats.flushes += 1
@@ -118,6 +134,8 @@ class BufferCache:
         return len(self._cache)
 
     def _check(self, index: int) -> None:
+        """Raise for an out-of-range block (the hot paths test the
+        bounds inline and call this only to raise)."""
         if not 0 <= index < self.block_count:
             raise FsError(EIO, f"block {index} outside device ({self.block_count} blocks)")
 

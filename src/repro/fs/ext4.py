@@ -197,7 +197,7 @@ class MountedExt4(MountedExt2):
 
     def _journal_and_flush(self) -> None:
         """Write-ahead journal the dirty blocks, then checkpoint them."""
-        dirty = sorted(self.cache._dirty)  # the cache is our own component
+        dirty = self.cache.dirty_blocks()
         capacity = self.geo.journal_blocks - 2
         if not dirty:
             return
@@ -205,13 +205,11 @@ class MountedExt4(MountedExt2):
             header = struct.pack(
                 JOURNAL_HEADER_FMT, JOURNAL_MAGIC, JOURNAL_DESCRIPTOR,
                 len(dirty), self._txn_id,
-            ) + struct.pack(f"<{len(dirty)}I", *dirty)
+            ) + struct.pack(f"<{len(dirty)}I", *(index for index, _ in dirty))
             self.device.write_block(self.geo.journal_start, self.geo.block_size, header)
-            for index, block in enumerate(dirty):
+            for slot, (_, data) in enumerate(dirty):
                 self.device.write_block(
-                    self.geo.journal_start + 1 + index,
-                    self.geo.block_size,
-                    bytes(self.cache._cache[block]),
+                    self.geo.journal_start + 1 + slot, self.geo.block_size, data
                 )
             commit = struct.pack(
                 JOURNAL_HEADER_FMT, JOURNAL_MAGIC, JOURNAL_COMMIT,

@@ -122,13 +122,27 @@ class ChunkedStore:
         replaced (and marked dirty); identical rewrites keep the shared
         chunk object so snapshot chains stay deduplicated.
 
-        ``data`` may be any buffer (bytes, bytearray, memoryview); it is
-        sliced through a ``memoryview`` so the only copies taken are the
-        per-chunk pieces that actually land in the table.
+        ``data`` may be any buffer (bytes, bytearray, memoryview).  A
+        write inside one chunk (every file-system block write) splices
+        it in directly; a chunk-spanning write is sliced through a
+        ``memoryview`` so the only copies taken are the per-chunk pieces
+        that actually land in the table.
         """
+        total = len(data)
+        if not total:
+            return
         cs = self.chunk_size
+        index = offset // cs
+        within = offset - index * cs
+        old = self._chunks[index]
+        end = within + total
+        if end <= len(old):
+            if old[within:end] != data:
+                # ``bytes + buffer`` is bytes whatever the buffer type
+                self._chunks[index] = old[:within] + data + old[end:]
+                self._dirty.add(index)
+            return
         view = memoryview(data)
-        total = len(view)
         consumed = 0
         position = offset
         while consumed < total:
@@ -252,47 +266,52 @@ class BlockDevice(ChunkedStore):
     # -- raw byte access (used by file systems) --------------------------------
     def read(self, offset: int, length: int) -> bytes:
         """Read ``length`` bytes at ``offset``, charging device latency."""
-        self._check_range(offset, length)
-        self._charge(length)
-        self.stats.read_requests += 1
-        self.stats.bytes_read += length
+        if length < 0 or offset < 0 or offset + length > self.size_bytes:
+            self._check_range(offset, length)
+        self.clock.charge(self.access_cost + self.per_byte_cost * length,
+                          self.cost_category)
+        stats = self.stats
+        stats.read_requests += 1
+        stats.bytes_read += length
         return self._read_range(offset, length)
 
     def write(self, offset: int, data: bytes) -> None:
         """Write ``data`` at ``offset``, charging device latency."""
         if self.read_only:
             raise DeviceError(f"{self.name}: device is read-only")
-        self._check_range(offset, len(data))
-        self._charge(len(data))
-        self.stats.write_requests += 1
-        self.stats.bytes_written += len(data)
+        length = len(data)
+        if offset < 0 or offset + length > self.size_bytes:
+            self._check_range(offset, length)
+        self.clock.charge(self.access_cost + self.per_byte_cost * length,
+                          self.cost_category)
+        stats = self.stats
+        stats.write_requests += 1
+        stats.bytes_written += length
         self._store_range(offset, data)
 
     def read_block(self, block_index: int, block_size: int) -> bytes:
         return self.read(block_index * block_size, block_size)
 
     def write_block(self, block_index: int, block_size: int, data: bytes) -> None:
-        if len(data) > block_size:
-            raise DeviceError(
-                f"{self.name}: block write of {len(data)} bytes exceeds "
-                f"block size {block_size}"
-            )
-        if len(data) < block_size:
-            data = data + b"\x00" * (block_size - len(data))
+        length = len(data)
+        if length != block_size:
+            if length > block_size:
+                raise DeviceError(
+                    f"{self.name}: block write of {length} bytes exceeds "
+                    f"block size {block_size}"
+                )
+            data = data + b"\x00" * (block_size - length)
         self.write(block_index * block_size, data)
 
     # -- helpers ----------------------------------------------------------------
     def _check_range(self, offset: int, length: int) -> None:
+        """Raise :class:`DeviceError` for an out-of-range access (the hot
+        paths test the bounds inline and call this only to raise)."""
         if length < 0 or offset < 0 or offset + length > self.size_bytes:
             raise DeviceError(
                 f"{self.name}: access [{offset}, {offset + length}) outside "
                 f"device of {self.size_bytes} bytes"
             )
-
-    def _charge(self, nbytes: int) -> None:
-        self.clock.charge(
-            self.access_cost + self.per_byte_cost * nbytes, self.cost_category
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r}, {self.size_bytes} bytes)"

@@ -52,10 +52,26 @@ class Bitmap:
         """
         if self._set_count >= self.nbits:
             return None
-        order = list(range(start, self.nbits)) + list(range(0, start))
-        for index in order:
-            if not self.get(index):
-                return index
+        if start < 0:
+            self._check(start)
+        found = self._first_clear(start, self.nbits)
+        return found if found is not None else self._first_clear(0, start)
+
+    def _first_clear(self, lo: int, hi: int) -> Optional[int]:
+        """Lowest clear bit in ``[lo, min(hi, nbits))``, found a byte at a
+        time: full (``0xFF``) bytes are skipped in one C-level strip."""
+        bits = self._bits
+        hi = min(hi, self.nbits)
+        while lo < hi:
+            byte_index = lo >> 3
+            # bits below ``lo`` in its byte count as set
+            byte = bits[byte_index] | ((1 << (lo & 7)) - 1)
+            if byte != 0xFF:
+                # ``~byte & (byte + 1)`` isolates the lowest clear bit
+                index = (byte_index << 3) + (~byte & (byte + 1)).bit_length() - 1
+                return index if index < hi else None
+            rest = bits[byte_index + 1 : (hi + 7) >> 3]
+            lo = (byte_index + 1 + len(rest) - len(rest.lstrip(b"\xff"))) << 3
         return None
 
     def allocate(self, start: int = 0) -> Optional[int]:
@@ -107,7 +123,8 @@ class Bitmap:
         tail = nbits & 7
         if tail:
             bitmap._bits[-1] &= (1 << tail) - 1
-        bitmap._set_count = sum(bin(byte).count("1") for byte in bitmap._bits)
+        # one big-int popcount (``int.bit_count`` needs Python 3.10)
+        bitmap._set_count = bin(int.from_bytes(bitmap._bits, "little")).count("1")
         return bitmap
 
     def copy(self) -> "Bitmap":

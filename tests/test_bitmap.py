@@ -162,3 +162,42 @@ def test_property_allocate_exhausts_exactly(nbits):
         assert index not in allocated
         allocated.add(index)
     assert len(allocated) == nbits
+
+
+def linear_find_free(bitmap, start):
+    """The reference next-fit definition: scan ``start..nbits`` and then
+    wrap to ``0..start``, one ``get`` per bit."""
+    if bitmap.set_count >= bitmap.nbits:
+        return None
+    for index in list(range(start, bitmap.nbits)) + list(range(0, start)):
+        if not bitmap.get(index):
+            return index
+    return None
+
+
+@given(st.data())
+def test_property_find_free_matches_linear_scan(data):
+    nbits = data.draw(st.integers(1, 300), label="nbits")
+    bitmap = Bitmap(nbits)
+    dense = data.draw(st.booleans(), label="dense")
+    for index in range(nbits):
+        # dense maps leave long runs of full bytes for the skip path
+        if data.draw(st.integers(0, 9)) < (9 if dense else 4):
+            bitmap.set(index)
+    start = data.draw(st.integers(0, nbits + 9), label="start")
+    assert bitmap.find_free(start) == linear_find_free(bitmap, start)
+
+
+def test_find_free_negative_start_raises():
+    with pytest.raises(IndexError):
+        Bitmap(8).find_free(-1)
+
+
+@given(st.binary(min_size=1, max_size=64), st.data())
+def test_property_from_bytes_count_matches_per_bit_count(raw, data):
+    nbits = data.draw(st.integers(1, len(raw) * 8), label="nbits")
+    bitmap = Bitmap.from_bytes(raw, nbits)
+    expected = sum((raw[i >> 3] >> (i & 7)) & 1 for i in range(nbits))
+    assert bitmap.set_count == expected
+    assert bitmap.free_count == nbits - expected
+    assert sum(1 for _ in bitmap.iter_set()) == expected

@@ -89,6 +89,47 @@ class TestLRUEviction:
         assert cache.read_block(0)[:3] == b"new"
 
 
+class TestCopySemantics:
+    """Cached blocks are immutable ``bytes`` handed out without a copy;
+    only mutable input is copied, once, on its way in."""
+
+    def test_mutating_written_bytearray_does_not_reach_cache(self, cache, device):
+        raw = bytearray(b"A" * 1024)
+        cache.write_block(0, raw)
+        raw[:4] = b"XXXX"
+        assert cache.read_block(0) == b"A" * 1024
+        cache.flush()
+        assert device.read_block(0, 1024) == b"A" * 1024
+
+    def test_short_bytearray_is_padded_and_copied(self, cache):
+        raw = bytearray(b"abc")
+        cache.write_block(0, raw)
+        raw[0] = ord("z")
+        assert cache.read_block(0) == b"abc" + b"\x00" * 1021
+
+    def test_read_block_value_survives_later_write(self, cache):
+        cache.write_block(0, b"old")
+        before = cache.read_block(0)
+        cache.write_block(0, b"new")
+        assert before[:3] == b"old"
+        assert cache.read_block(0)[:3] == b"new"
+
+    def test_hits_return_the_cached_object(self, cache):
+        cache.write_block(0, b"x" * 1024)
+        assert type(cache.read_block(0)) is bytes
+        assert cache.read_block(0) is cache.read_block(0)
+
+    def test_dirty_blocks_are_sorted_pairs(self, cache):
+        cache.write_block(3, b"c")
+        cache.write_block(1, b"a")
+        cache.read_block(2)
+        dirty = cache.dirty_blocks()
+        assert [index for index, _ in dirty] == [1, 3]
+        assert dirty[0][1] is cache.read_block(1)
+        cache.flush()
+        assert cache.dirty_blocks() == []
+
+
 class TestDirentHelpers:
     def test_roundtrip(self):
         data = pack_dirent(5, 8, "hello") + pack_dirent(9, 4, "dir")
